@@ -13,14 +13,9 @@
 //     state clustering layer toggled on vs. off: clustering-stage seconds,
 //     reuse ratio, and product identity (same contract — byte-identical
 //     outputs, only the work to produce them shrinks).
-//   soa  — the PR 9 structure-of-arrays ε-filter hot path: a micro layer
-//     timing one query against a contiguous candidate block (scalar
-//     WithinEps walk vs EpsFilterBatch vs EpsFilterGather, checksums
-//     compared), and cluster-stage e2e with SetSoAKernelsEnabled toggled
-//     on vs off (kernels and incremental clustering held constant) over
-//     coherent, transit-burst, and spatially-sparse scenarios. Same
-//     contract as every other toggle here: byte-identical products and
-//     identical distance_ops, only the time to produce them shrinks.
+//   soa  — the structure-of-arrays ε-filter kernels in isolation: one
+//     query against a contiguous candidate block (scalar WithinEps walk
+//     vs EpsFilterBatch vs EpsFilterGather, checksums compared).
 //   sharded — SC end-to-end at shards ∈ {1, 2, 4, 8}: shards=1 is the
 //     stock single-worker path, shards>1 routes the C-step through the
 //     src/shard/ engine. Products must be byte-identical at every shard
@@ -469,86 +464,6 @@ EpsMicroResult BenchEpsFilter(int iters) {
   return r;
 }
 
-/// Cluster-stage e2e with the SoA kernels toggled on vs off. Kernels and
-/// incremental clustering stay at their defaults in both modes — the
-/// toggle isolates the SoA rewiring. identical_products is the strictest
-/// gate in this file: the full companion-log digest AND the distance_ops
-/// counter must match, because the SoA paths re-derive the same
-/// candidate sets in a different evaluation order and both the products
-/// and the counted work must come out untouched.
-struct SoAResult {
-  std::string scenario;
-  std::string algorithm;
-  int objects = 0;
-  double on_total_seconds = 0.0;  // best-of-reps, SoA kernels on
-  double off_total_seconds = 0.0;
-  double on_cluster_seconds = 0.0;  // best-of-reps C-step stage time
-  double off_cluster_seconds = 0.0;
-  double on_eps_filter_seconds = 0.0;  // FinishExact filter slice (the
-  double off_eps_filter_seconds = 0.0;  // incremental layer only)
-  int64_t on_distance_ops = 0;
-  int64_t off_distance_ops = 0;
-  int64_t soa_batches = 0;
-  int64_t soa_lanes = 0;
-  uint64_t on_digest = 0;
-  uint64_t off_digest = 0;
-  size_t companions = 0;
-  bool identical_products = false;
-};
-
-SoAResult BenchSoA(const std::string& scenario, const std::string& algorithm,
-                   const DiscovererFactory& make, const SnapshotStream& stream,
-                   int objects, int reps, int warmup) {
-  SoAResult r;
-  r.scenario = scenario;
-  r.algorithm = algorithm;
-  r.objects = objects;
-  for (int w = 0; w < warmup; ++w) {
-    for (bool soa : {true, false}) {
-      SetSoAKernelsEnabled(soa);
-      std::unique_ptr<CompanionDiscoverer> d = make();
-      for (const Snapshot& s : stream) d->ProcessSnapshot(s, nullptr);
-    }
-  }
-  // Paired alternation and best-of-reps, exactly like BenchEndToEnd.
-  for (int rep = 0; rep < reps; ++rep) {
-    for (bool soa : {true, false}) {
-      SetSoAKernelsEnabled(soa);
-      std::unique_ptr<CompanionDiscoverer> d = make();
-      Timer t;
-      t.Start();
-      for (const Snapshot& s : stream) d->ProcessSnapshot(s, nullptr);
-      t.Stop();
-      double& best_total = soa ? r.on_total_seconds : r.off_total_seconds;
-      double& best_cluster =
-          soa ? r.on_cluster_seconds : r.off_cluster_seconds;
-      double& best_filter =
-          soa ? r.on_eps_filter_seconds : r.off_eps_filter_seconds;
-      if (rep == 0 || t.Seconds() < best_total) best_total = t.Seconds();
-      const double cluster = d->stats().cluster_seconds;
-      if (rep == 0 || cluster < best_cluster) best_cluster = cluster;
-      const double filter = d->stats().eps_filter_seconds;
-      if (rep == 0 || filter < best_filter) best_filter = filter;
-      if (rep == 0) {
-        if (soa) {
-          r.on_distance_ops = d->stats().distance_ops;
-          r.soa_batches = d->stats().soa_batches;
-          r.soa_lanes = d->stats().soa_lanes;
-          r.companions = d->log().companions().size();
-          r.on_digest = CompanionDigest(d->log());
-        } else {
-          r.off_distance_ops = d->stats().distance_ops;
-          r.off_digest = CompanionDigest(d->log());
-        }
-      }
-    }
-  }
-  SetSoAKernelsEnabled(true);
-  r.identical_products = r.on_digest == r.off_digest &&
-                         r.on_distance_ops == r.off_distance_ops;
-  return r;
-}
-
 /// SC end-to-end at one shard count. shards=1 is the stock single-worker
 /// discoverer exactly as `tcomp serve` runs it today; shards>1 wires a
 /// ShardedClusterEngine in through SetClusterProvider, exactly as the
@@ -809,60 +724,7 @@ int Main(int argc, char** argv) {
     sharded.insert(sharded.end(), more.begin(), more.end());
   }
 
-  // SoA ε-filter layer (PR 9), measured in the dense-companion regime
-  // the paper targets: convoy-scale groups (64-128 members inside the
-  // default 25-unit spread) where ε-neighborhoods run tens of candidates
-  // deep and the ε-filter is the C-step's dominant slice. The gate entry
-  // runs SC over the grid DBSCAN backend: there the whole C-step is the
-  // range-query loop the SoA kernels rewired, so cluster_speedup reads
-  // the kernels directly. `coherent_incremental` runs the stock SC
-  // (incremental clustering on in both modes) and shows how the win
-  // compounds with PR 6 — fewer points probed, each probe batched.
-  // `transit_burst` layers the sharded bench's split/leave churn on top.
-  // `sparse_area` is the regression guard: small wandering groups spread
-  // over a huge world leave the kernels nothing to amortize against, so
-  // ~1.0x is the pass condition.
   EpsMicroResult eps_micro = BenchEpsFilter(config.micro_iters / 10 + 1);
-  DiscovererFactory make_sc_grid = [&]() -> std::unique_ptr<CompanionDiscoverer> {
-    std::unique_ptr<CompanionDiscoverer> d =
-        MakeDiscoverer(Algorithm::kSmartClosed, params);
-    d->SetClusterProvider([&params](const Snapshot& s, int64_t* distance_ops) {
-      return DbscanGrid(s, params.cluster, distance_ops);
-    });
-    return d;
-  };
-  DiscovererFactory make_sc = [&] {
-    return MakeDiscoverer(Algorithm::kSmartClosed, params);
-  };
-  GroupModelOptions convoy_options = coherent_options;
-  convoy_options.min_group_size = 64;
-  convoy_options.max_group_size = 128;
-  GroupDataset convoy = GenerateGroupStream(convoy_options);
-  GroupModelOptions convoy_burst_options = convoy_options;
-  convoy_burst_options.split_probability = 0.10;
-  convoy_burst_options.leave_probability = 0.05;
-  convoy_burst_options.seed = 406;
-  GroupDataset convoy_burst = GenerateGroupStream(convoy_burst_options);
-  GroupModelOptions sparse_soa_options = options;
-  sparse_soa_options.min_group_size = 3;
-  sparse_soa_options.max_group_size = 6;
-  sparse_soa_options.area_size =
-      600.0 * std::sqrt(static_cast<double>(config.objects));
-  sparse_soa_options.seed = 407;
-  GroupDataset sparse_soa = GenerateGroupStream(sparse_soa_options);
-  std::vector<SoAResult> soa;
-  soa.push_back(BenchSoA("coherent", "SC_grid", make_sc_grid, convoy.stream,
-                         convoy_options.num_objects, config.e2e_reps,
-                         config.warmup_iters));
-  soa.push_back(BenchSoA("coherent_incremental", "SC", make_sc,
-                         convoy.stream, convoy_options.num_objects,
-                         config.e2e_reps, config.warmup_iters));
-  soa.push_back(BenchSoA("transit_burst", "SC_grid", make_sc_grid,
-                         convoy_burst.stream, convoy_burst_options.num_objects,
-                         config.e2e_reps, config.warmup_iters));
-  soa.push_back(BenchSoA("sparse_area", "SC_grid", make_sc_grid,
-                         sparse_soa.stream, sparse_soa_options.num_objects,
-                         config.e2e_reps, config.warmup_iters));
 
   std::ostream& out = std::cout;
   out << "{\n";
@@ -984,35 +846,7 @@ int Main(int argc, char** argv) {
                   eps_micro.checksum_scalar == eps_micro.checksum_gather
               ? "true"
               : "false")
-      << "\n    },\n";
-  out << "    \"e2e\": [\n";
-  for (size_t i = 0; i < soa.size(); ++i) {
-    const SoAResult& r = soa[i];
-    out << "      {\"scenario\": \"" << r.scenario << "\""
-        << ", \"algorithm\": \"" << r.algorithm << "\""
-        << ", \"objects\": " << r.objects
-        << ", \"snapshots\": " << config.snapshots
-        << ", \"soa_on_seconds\": " << r.on_total_seconds
-        << ", \"soa_off_seconds\": " << r.off_total_seconds
-        << ", \"total_speedup\": "
-        << SafeRatio(r.off_total_seconds, r.on_total_seconds)
-        << ", \"soa_on_cluster_seconds\": " << r.on_cluster_seconds
-        << ", \"soa_off_cluster_seconds\": " << r.off_cluster_seconds
-        << ", \"cluster_speedup\": "
-        << SafeRatio(r.off_cluster_seconds, r.on_cluster_seconds)
-        << ", \"soa_on_eps_filter_seconds\": " << r.on_eps_filter_seconds
-        << ", \"soa_off_eps_filter_seconds\": " << r.off_eps_filter_seconds
-        << ", \"eps_filter_speedup\": "
-        << SafeRatio(r.off_eps_filter_seconds, r.on_eps_filter_seconds)
-        << ", \"distance_ops\": " << r.on_distance_ops
-        << ", \"soa_batches\": " << r.soa_batches
-        << ", \"soa_lanes\": " << r.soa_lanes
-        << ", \"companions\": " << r.companions
-        << ", \"identical_products\": "
-        << (r.identical_products ? "true" : "false") << "}"
-        << (i + 1 < soa.size() ? "," : "") << "\n";
-  }
-  out << "    ]\n  },\n";
+      << "\n    }\n  },\n";
   // Registry JSON is itself a complete object ending in '\n'; embed it as
   // the final member.
   out << "  \"stage_metrics\": " << StageMetricsJson(params, data.stream);
@@ -1030,7 +864,6 @@ int Main(int argc, char** argv) {
   for (const ShardedResult& r : sharded) ok = ok && r.identical_products;
   ok = ok && eps_micro.checksum_scalar == eps_micro.checksum_batch &&
        eps_micro.checksum_scalar == eps_micro.checksum_gather;
-  for (const SoAResult& r : soa) ok = ok && r.identical_products;
   if (!ok) {
     std::cerr << "FAIL: kernel and merge paths disagree\n";
     return 1;

@@ -9,7 +9,6 @@
 
 #include "util/eps_filter.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace tcomp {
 
@@ -102,49 +101,13 @@ Clustering Dbscan(const Snapshot& snapshot, const DbscanParams& params,
   for (uint32_t i = 0; i < n; ++i) {
     neighbors[i].push_back(i);
   }
-  const int shards = EffectiveShards(params.threads, n);
-  if (shards == 1) {
-    for (uint32_t i = 0; i < n; ++i) {
-      for (uint32_t j = i + 1; j < n; ++j) {
-        ++ops;
-        // tcomp-lint: allow(soa-raw-loop): reference O(n²) backend —
-        // the paper's cost model for CI/SC; deliberately unaccelerated
-        // so distance_ops stays the figure the paper plots.
-        if (WithinEps(snapshot.pos(i), snapshot.pos(j), eps2)) {
-          neighbors[i].push_back(j);
-          neighbors[j].push_back(i);
-        }
-      }
-    }
-  } else {
-    // Each worker owns a strided set of rows (row i of the upper triangle
-    // is computed entirely by shard i % num_shards; striding balances the
-    // triangular row lengths). Workers never touch shared state: hits go
-    // into the owned row of `upper`, ops into a per-shard counter. The
-    // serial scatter below then reproduces the exact adjacency the serial
-    // loop builds, and the ops total is the same n(n-1)/2.
-    std::vector<std::vector<uint32_t>> upper(n);
-    std::vector<int64_t> shard_ops(static_cast<size_t>(shards), 0);
-    ParallelForShards(shards, [&](int shard, int num_shards) {
-      int64_t local_ops = 0;
-      for (uint32_t i = static_cast<uint32_t>(shard); i < n;
-           i += static_cast<uint32_t>(num_shards)) {
-        Point pi = snapshot.pos(i);
-        for (uint32_t j = i + 1; j < n; ++j) {
-          ++local_ops;
-          // tcomp-lint: allow(soa-raw-loop): reference O(n²) backend —
-          // the paper's cost model for CI/SC; deliberately unaccelerated
-          // so distance_ops stays the figure the paper plots.
-          if (WithinEps(pi, snapshot.pos(j), eps2)) {
-            upper[i].push_back(j);
-          }
-        }
-      }
-      shard_ops[static_cast<size_t>(shard)] = local_ops;
-    });
-    for (int64_t s : shard_ops) ops += s;
-    for (uint32_t i = 0; i < n; ++i) {
-      for (uint32_t j : upper[i]) {
+  for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t j = i + 1; j < n; ++j) {
+      ++ops;
+      // tcomp-lint: allow(soa-raw-loop): reference O(n²) backend — the
+      // paper's cost model for CI/SC; deliberately unaccelerated so
+      // distance_ops stays the figure the paper plots.
+      if (WithinEps(snapshot.pos(i), snapshot.pos(j), eps2)) {
         neighbors[i].push_back(j);
         neighbors[j].push_back(i);
       }
@@ -161,36 +124,37 @@ Clustering Dbscan(const Snapshot& snapshot, const DbscanParams& params,
   return internal::BuildClusteringFromCores(snapshot, core, neighbors);
 }
 
-namespace {
-
-struct CellKey {
-  int64_t cx;
-  int64_t cy;
-  bool operator==(const CellKey& o) const { return cx == o.cx && cy == o.cy; }
-};
-
-struct CellKeyHash {
-  size_t operator()(const CellKey& k) const {
-    uint64_t h = static_cast<uint64_t>(k.cx) * 0x9e3779b97f4a7c15ULL;
-    h ^= static_cast<uint64_t>(k.cy) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-         (h >> 2);
-    return static_cast<size_t>(h);
-  }
-};
-
-/// SoA fast path for DbscanGrid: grid-sorted coordinate arrays + the
-/// batched ε-filter kernel. The grid becomes a sorted flat array of
-/// (cell, point) entries, so every 3×3 probe is a handful of contiguous
-/// ranges over coordinates permuted into grid order — exactly the shape
-/// EpsFilterBatch streams. Products and distance_ops are byte-identical
-/// to the scalar branch: the kernel evaluates the same closed-ball
-/// predicate over the same candidate multiset (each range element counts
-/// one op; the point itself sits in exactly one range and is subtracted),
-/// and rows are sorted either way.
-Clustering DbscanGridSoA(const Snapshot& snapshot, const DbscanParams& params,
-                         double cell_width, int64_t* distance_ops) {
+// Grid-sorted coordinate arrays + the batched ε-filter kernel. The grid
+// is a sorted flat array of (cell, point) entries, so every 3×3 probe is
+// a handful of contiguous ranges over coordinates permuted into grid
+// order — exactly the shape EpsFilterBatch streams. The kernel evaluates
+// the closed-ball WithinEps predicate (util/eps_filter.h), and
+// distance_ops counts every ordered pair of distinct points in
+// 3×3-adjacent cells.
+Clustering DbscanGrid(const Snapshot& snapshot, const DbscanParams& params,
+                      int64_t* distance_ops) {
   const size_t n = snapshot.size();
-  const double eps2 = params.epsilon * params.epsilon;
+  const double eps = params.epsilon;
+  const double eps2 = eps * eps;
+  TCOMP_CHECK_GT(eps, 0.0);
+
+  double max_abs = 0.0;
+  for (uint32_t i = 0; i < n; ++i) {
+    Point p = snapshot.pos(i);
+    // Defense in depth behind the stream-ingest validation: casting
+    // floor(NaN/Inf) to int64_t is undefined behavior, so a non-finite
+    // coordinate must never reach the cell computation.
+    TCOMP_CHECK(std::isfinite(p.x) && std::isfinite(p.y))
+        << "non-finite coordinate for object " << snapshot.id(i);
+    max_abs = std::max({max_abs, std::fabs(p.x), std::fabs(p.y)});
+  }
+  // Padded cell width: with cells of exactly eps, the rounding of
+  // floor(x / eps) at large |x| can put a pair at distance exactly eps
+  // two cells apart, and the 3×3 scan would miss it (the flat backend
+  // would not — an eps-boundary disagreement). GridCellWidth pads the
+  // width so adjacent-cell coverage is guaranteed; membership is still
+  // decided exactly by the ε-filter below.
+  const double cell_width = GridCellWidth(eps, max_abs);
 
   struct Entry {
     int64_t cx;
@@ -249,10 +213,9 @@ Clustering DbscanGridSoA(const Snapshot& snapshot, const DbscanParams& params,
   // Dbscan backend. Adjacent forward cells are consecutive in grid
   // order whenever occupied, so the cx+1 column typically collapses to
   // one merged span — ranges long enough for the kernel's vector path.
-  // distance_ops accounting: the scalar branch counts every ordered
-  // candidate pair, i.e. each unordered pair twice; the sweep evaluates
-  // each unordered pair once and counts it twice, so the recorded
-  // figure — the paper's cost-model metric — is identical.
+  // distance_ops accounting: the recorded figure is every ordered
+  // candidate pair of a full 3×3 scan, i.e. each unordered pair twice;
+  // the sweep evaluates each unordered pair once and counts it twice.
   std::vector<uint32_t> span_offset(cells.size() + 1, 0);
   std::vector<std::pair<uint32_t, uint32_t>> spans;
   spans.reserve(cells.size() * 3);
@@ -287,55 +250,44 @@ Clustering DbscanGridSoA(const Snapshot& snapshot, const DbscanParams& params,
     max_span_len = std::max(max_span_len, c.end - c.begin);
   }
 
-  // Phase 1 (parallel): forward survivor lists, one owner per cell —
-  // shard s sweeps cells s, s+T, ..., and fwd[i] is written only by the
-  // shard owning i's cell, so rows never race. Phase 2 (serial) mirrors
-  // each surviving pair into both rows; content is independent of the
-  // shard count because phase 1 rows are.
-  int64_t ops = 0;
+  // Phase 1: forward survivor lists. Phase 2 mirrors each surviving pair
+  // into both rows.
+  int64_t pairs = 0;
   std::vector<std::vector<uint32_t>> fwd(n);
-  const int shards = EffectiveShards(params.threads, n);
-  std::vector<int64_t> shard_ops(static_cast<size_t>(shards), 0);
-  ParallelForShards(shards, [&](int shard, int num_shards) {
-    int64_t local_ops = 0;
-    std::vector<uint32_t> surv(max_span_len);
-    for (size_t c = static_cast<size_t>(shard); c < cells.size();
-         c += static_cast<size_t>(num_shards)) {
-      for (uint32_t k = cells[c].begin; k < cells[c].end; ++k) {
-        const uint32_t i = order[k];
-        const double px = gx[k];
-        const double py = gy[k];
-        std::vector<uint32_t>& row = fwd[i];
-        // One up-front block instead of doubling through the emit loops;
-        // dense-regime rows run ~10-20 forward survivors.
-        row.reserve(16);
-        if (k + 1 < cells[c].end) {
-          local_ops += cells[c].end - (k + 1);
-          const size_t kept = EpsFilterBatch(gx.data(), gy.data(), k + 1,
-                                             cells[c].end, px, py, eps2,
-                                             surv.data());
-          for (size_t t = 0; t < kept; ++t) row.push_back(order[surv[t]]);
-        }
-        for (uint32_t s = span_offset[c]; s < span_offset[c + 1]; ++s) {
-          local_ops += spans[s].second - spans[s].first;
-          const size_t kept =
-              EpsFilterBatch(gx.data(), gy.data(), spans[s].first,
-                             spans[s].second, px, py, eps2, surv.data());
-          for (size_t t = 0; t < kept; ++t) row.push_back(order[surv[t]]);
-        }
+  std::vector<uint32_t> surv(max_span_len);
+  for (size_t c = 0; c < cells.size(); ++c) {
+    for (uint32_t k = cells[c].begin; k < cells[c].end; ++k) {
+      const uint32_t i = order[k];
+      const double px = gx[k];
+      const double py = gy[k];
+      std::vector<uint32_t>& row = fwd[i];
+      // One up-front block instead of doubling through the emit loops;
+      // dense-regime rows run ~10-20 forward survivors.
+      row.reserve(16);
+      if (k + 1 < cells[c].end) {
+        pairs += cells[c].end - (k + 1);
+        const size_t kept = EpsFilterBatch(gx.data(), gy.data(), k + 1,
+                                           cells[c].end, px, py, eps2,
+                                           surv.data());
+        for (size_t t = 0; t < kept; ++t) row.push_back(order[surv[t]]);
+      }
+      for (uint32_t s = span_offset[c]; s < span_offset[c + 1]; ++s) {
+        pairs += spans[s].second - spans[s].first;
+        const size_t kept =
+            EpsFilterBatch(gx.data(), gy.data(), spans[s].first,
+                           spans[s].second, px, py, eps2, surv.data());
+        for (size_t t = 0; t < kept; ++t) row.push_back(order[surv[t]]);
       }
     }
-    shard_ops[static_cast<size_t>(shard)] = local_ops;
-  });
-  for (int64_t s : shard_ops) ops += 2 * s;
+  }
+  const int64_t ops = 2 * pairs;
 
   // Phase 2: mirror the surviving pairs. The full row for i is the
   // ascending union of {i}, its forward survivors, and every j that saw
   // i in its own forward sweep. Scattering the reverse edges in
   // ascending i order makes each reverse segment pre-sorted, so one
   // small sort (forward list plus self) and one linear merge replace
-  // the full-row sort — rows come out exactly as the scalar branch's
-  // sorted rows, at a fraction of the comparisons.
+  // the full-row sort.
   std::vector<uint32_t> rev_off(n + 1, 0);
   for (uint32_t i = 0; i < n; ++i) {
     for (uint32_t j : fwd[i]) ++rev_off[j + 1];
@@ -360,88 +312,6 @@ Clustering DbscanGridSoA(const Snapshot& snapshot, const DbscanParams& params,
     std::merge(f.begin(), f.end(), rev_buf.begin() + rb,
                rev_buf.begin() + re, std::back_inserter(row));
   }
-
-  std::vector<bool> core(n, false);
-  for (uint32_t i = 0; i < n; ++i) {
-    core[i] = neighbors[i].size() >= static_cast<size_t>(params.mu);
-  }
-  if (distance_ops != nullptr) *distance_ops += ops;
-  return internal::BuildClusteringFromCores(snapshot, core, neighbors);
-}
-
-}  // namespace
-
-Clustering DbscanGrid(const Snapshot& snapshot, const DbscanParams& params,
-                      int64_t* distance_ops) {
-  const size_t n = snapshot.size();
-  const double eps = params.epsilon;
-  const double eps2 = eps * eps;
-  TCOMP_CHECK_GT(eps, 0.0);
-
-  double max_abs = 0.0;
-  for (uint32_t i = 0; i < n; ++i) {
-    Point p = snapshot.pos(i);
-    // Defense in depth behind the stream-ingest validation: casting
-    // floor(NaN/Inf) to int64_t is undefined behavior, so a non-finite
-    // coordinate must never reach cell_of.
-    TCOMP_CHECK(std::isfinite(p.x) && std::isfinite(p.y))
-        << "non-finite coordinate for object " << snapshot.id(i);
-    max_abs = std::max({max_abs, std::fabs(p.x), std::fabs(p.y)});
-  }
-  // Padded cell width: with cells of exactly eps, the rounding of
-  // floor(x / eps) at large |x| can put a pair at distance exactly eps
-  // two cells apart, and the 3×3 scan would miss it (the flat backend
-  // would not — an eps-boundary disagreement). GridCellWidth pads the
-  // width so adjacent-cell coverage is guaranteed; membership is still
-  // decided exactly by WithinEps below.
-  const double cell_width = GridCellWidth(eps, max_abs);
-  if (SoAKernelsEnabled()) {
-    return DbscanGridSoA(snapshot, params, cell_width, distance_ops);
-  }
-  std::unordered_map<CellKey, std::vector<uint32_t>, CellKeyHash> grid;
-  grid.reserve(n);
-  auto cell_of = [cell_width](Point p) {
-    return CellKey{static_cast<int64_t>(std::floor(p.x / cell_width)),
-                   static_cast<int64_t>(std::floor(p.y / cell_width))};
-  };
-  for (uint32_t i = 0; i < n; ++i) {
-    grid[cell_of(snapshot.pos(i))].push_back(i);
-  }
-
-  int64_t ops = 0;
-  std::vector<std::vector<uint32_t>> neighbors(n);
-  const int shards = EffectiveShards(params.threads, n);
-  std::vector<int64_t> shard_ops(static_cast<size_t>(shards), 0);
-  // Row i of `neighbors` is owned by shard i % num_shards; the grid is
-  // read-only here, so the probe order — and therefore every row and the
-  // per-row op count — is identical to the serial sweep.
-  ParallelForShards(shards, [&](int shard, int num_shards) {
-    int64_t local_ops = 0;
-    for (uint32_t i = static_cast<uint32_t>(shard); i < n;
-         i += static_cast<uint32_t>(num_shards)) {
-      CellKey c = cell_of(snapshot.pos(i));
-      for (int64_t dx = -1; dx <= 1; ++dx) {
-        for (int64_t dy = -1; dy <= 1; ++dy) {
-          auto it = grid.find(CellKey{c.cx + dx, c.cy + dy});
-          if (it == grid.end()) continue;
-          for (uint32_t j : it->second) {
-            if (j == i) continue;
-            ++local_ops;
-            // tcomp-lint: allow(soa-raw-loop): sanctioned scalar fallback
-            // — the baseline DbscanGridSoA is differentially tested
-            // against when the SoA switch is off.
-            if (WithinEps(snapshot.pos(i), snapshot.pos(j), eps2)) {
-              neighbors[i].push_back(j);
-            }
-          }
-        }
-      }
-      neighbors[i].push_back(i);
-      std::sort(neighbors[i].begin(), neighbors[i].end());
-    }
-    shard_ops[static_cast<size_t>(shard)] = local_ops;
-  });
-  for (int64_t s : shard_ops) ops += s;
 
   std::vector<bool> core(n, false);
   for (uint32_t i = 0; i < n; ++i) {

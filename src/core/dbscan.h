@@ -14,15 +14,9 @@ namespace tcomp {
 /// distance threshold ε, `mu` the density threshold μ. The ε-neighborhood
 /// N_ε(o) includes o itself (dist(o,o)=0 ≤ ε), so an object is a *core*
 /// object iff at least `mu` objects (itself included) lie within ε.
-///
-/// `threads` parallelizes the neighbor-computation stage across a static
-/// thread pool (util/thread_pool.h). Results — labels, core flags,
-/// clusters, and the distance_ops counter — are bit-identical at every
-/// thread count; 1 (the default) bypasses the pool entirely.
 struct DbscanParams {
   double epsilon = 1.0;
   int mu = 3;
-  int threads = 1;
 };
 
 /// The single ε-neighborhood convention every clustering backend shares:
@@ -91,9 +85,12 @@ Clustering Dbscan(const Snapshot& snapshot, const DbscanParams& params,
                   int64_t* distance_ops = nullptr);
 
 /// Grid-accelerated density clustering with identical output to Dbscan().
-/// Buckets objects into an ε×ε grid and only compares 3×3 neighborhoods.
-/// Used by generators/examples where a fast exact clustering is needed and
-/// as a reference point in the clustering microbenchmarks.
+/// Buckets objects into a GridCellWidth(ε) grid and only compares 3×3
+/// neighborhoods, as a cell-sorted plane sweep through the batched
+/// ε-filter (util/eps_filter.h). `distance_ops` grows by the number of
+/// ordered pairs of distinct objects in 3×3-adjacent cells. Used by
+/// generators/examples where a fast exact clustering is needed and as a
+/// reference point in the clustering microbenchmarks.
 Clustering DbscanGrid(const Snapshot& snapshot, const DbscanParams& params,
                       int64_t* distance_ops = nullptr);
 

@@ -64,10 +64,10 @@ struct DiscoveryStats {
   int64_t cluster_full_rebuilds = 0;  // snapshots that fell back to full
 
   // SoA ε-filter kernels (util/eps_filter.h): batches dispatched and
-  // candidate lanes streamed through them. Zero when the SoA switch is
-  // off or the algorithm's clustering path has no batched filter.
-  // Monitoring-grade only: NOT serialized by SaveCommon (the values
-  // differ between SoA-on and SoA-off runs of identical products, so
+  // candidate lanes streamed through them. Zero when the algorithm's
+  // clustering path has no batched filter. Monitoring-grade only: NOT
+  // serialized by SaveCommon (the values differ between runs of
+  // identical products, e.g. with incremental clustering on vs off, so
   // they must stay out of the checkpoint byte stream) — they restart
   // from zero after a resume, like process counters do.
   int64_t soa_batches = 0;

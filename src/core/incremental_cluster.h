@@ -26,7 +26,7 @@ struct ClusterDeltaStats {
   int64_t full_rebuilds = 0;
 
   /// SoA ε-filter kernel activity (util/eps_filter.h): batches dispatched
-  /// and candidate lanes streamed. Zero when SoAKernelsEnabled() is off.
+  /// and candidate lanes streamed.
   int64_t soa_batches = 0;
   int64_t soa_lanes = 0;
   /// Wall time spent in the exact ε-filter portion of FinishExact
@@ -67,8 +67,7 @@ struct ClusterDeltaStats {
 /// The layer is process-gated by SetIncrementalClusteringEnabled(); when
 /// off, Cluster() drops its carried state and delegates to the reference
 /// Dbscan() (ops accounting then matches the pre-incremental behavior
-/// exactly). The clusterer is deliberately serial: its products and its
-/// distance_ops are independent of DbscanParams::threads.
+/// exactly).
 ///
 /// Not thread-safe; one instance per stream, like the discoverers.
 class IncrementalClusterer {
@@ -112,11 +111,9 @@ class IncrementalClusterer {
   /// function of the anchors). Shared by the rebuild and load paths.
   void RebuildListsFromAnchors(int64_t* ops);
 
-  /// The exact ε-filter + core/label finishing step over carried lists.
-  /// Routes the filter through the batched SoA kernels when
-  /// SoAKernelsEnabled(), through the scalar WithinEps walk otherwise —
-  /// byte-identical products and distance_ops either way. `delta` (may be
-  /// null) accumulates soa_batches/soa_lanes/eps_filter_seconds.
+  /// The exact ε-filter + core/label finishing step over carried lists,
+  /// through the batched SoA gather kernel (util/eps_filter.h). `delta`
+  /// (may be null) accumulates soa_batches/soa_lanes/eps_filter_seconds.
   Clustering FinishExact(const Snapshot& snapshot, int64_t* ops,
                          ClusterDeltaStats* delta);
 

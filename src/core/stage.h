@@ -16,10 +16,10 @@ enum class Stage {
   kMaintain,         // M-step: buddy split/merge maintenance (BU)
   kCluster,          // C-step: density clustering
   kEpsFilter,        // ε-neighborhood filtering inside the C-step: the
-                     // batched SoA kernels (util/eps_filter.h) or their
-                     // scalar fallback. Nests inside kCluster, like the
-                     // shard stages; zero samples on paths that do not
-                     // time their filter portion separately.
+                     // batched SoA kernels (util/eps_filter.h). Nests
+                     // inside kCluster, like the shard stages; zero
+                     // samples on paths that do not time their filter
+                     // portion separately.
   kIntersect,        // I-step: candidate × cluster intersections
   kClosure,          // closedness checks on new clusters (SC, BU, convoy)
   kCheckpointWrite,  // checkpoint serialization + file write

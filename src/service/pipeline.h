@@ -100,10 +100,9 @@ struct ServiceStats {
 /// The long-running companion-discovery daemon core: a bounded ingest
 /// queue feeding the SlidingWindow → CompanionDiscoverer chain on one
 /// dedicated worker thread. Producers call Ingest() from any thread;
-/// queries are served from a consistent view at any time. The clustering
-/// stage inside the discoverer parallelizes over the process-wide
-/// ThreadPool when options.params.cluster.threads > 1, exactly as the
-/// batch path does.
+/// queries are served from a consistent view at any time. With
+/// options.shards > 1 the discoverer's clustering stage fans out over the
+/// ShardedEngine's worker pool (src/shard/).
 ///
 /// Lifecycle: Start() → {Ingest() | Flush() | queries}* → Stop().
 /// Stop() drains the queue, flushes the reorder buffer and the open

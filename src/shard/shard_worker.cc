@@ -61,7 +61,7 @@ ShardResult ComputeShardNeighbors(const Snapshot& snapshot,
   static thread_local std::vector<uint32_t> degree;
   // SoA mirrors of the sorted grid (sgx/sgy = point coordinates, sglocal
   // = local index, all in grid order) plus the candidate/survivor staging
-  // for EpsFilterGather. Built only when the SoA kernels are on.
+  // for EpsFilterGather.
   static thread_local std::vector<double> sgx;
   static thread_local std::vector<double> sgy;
   static thread_local std::vector<uint32_t> sglocal;
@@ -104,11 +104,8 @@ ShardResult ComputeShardNeighbors(const Snapshot& snapshot,
 
   // Grid-order SoA mirror for the batched ε-filter: sgy duplicates the
   // sort key (band cursors advance over it with unit stride), sgx/sgy
-  // together feed EpsFilterGather, sglocal maps survivors back. The
-  // copies are exact, so cursor positions and accepted sets cannot
-  // diverge from the scalar walk.
-  const bool use_soa = SoAKernelsEnabled();
-  if (use_soa) {
+  // together feed EpsFilterGather, sglocal maps survivors back.
+  {
     const size_t m = grid.size();
     sgx.resize(m);
     sgy.resize(m);
@@ -176,52 +173,30 @@ ShardResult ComputeShardNeighbors(const Snapshot& snapshot,
       for (int c = 0; c < ncol; ++c) {
         const uint32_t end = columns[cols[c] + 1].begin;
         uint32_t e = lo[c];
-        if (use_soa) {
-          // Gather-first: the skip rules (self, mirrored owned–owned
-          // pair) run before anything is counted or compared — exactly
-          // as in the scalar walk below — then the surviving band
-          // positions stream through the batched kernel in one go.
-          while (e < end && sgy[e] < y_lo) ++e;
-          lo[c] = e;  // source y only grows within the column
-          size_t m = 0;
-          for (; e < end && sgy[e] <= y_hi; ++e) {
-            const uint32_t k = sglocal[e];
-            if (k == k_src) continue;  // self
-            const uint32_t partner_row = row_of_local[k];
-            if (partner_row != kNoRow && k < k_src) continue;  // mirrored
-            cand[m++] = e;
-          }
-          result.distance_ops += static_cast<int64_t>(m);
-          const size_t kept = EpsFilterGather(sgx.data(), sgy.data(),
-                                              cand.data(), m, p.x, p.y,
-                                              eps2, surv.data());
-          for (size_t s = 0; s < kept; ++s) {
-            const uint32_t k = sglocal[surv[s]];
-            edges.push_back((static_cast<uint64_t>(row) << 32) | local[k]);
-            const uint32_t partner_row = row_of_local[k];
-            if (partner_row != kNoRow) {
-              edges.push_back((static_cast<uint64_t>(partner_row) << 32) | g);
-            }
-          }
-          continue;
-        }
-        while (e < end && grid[e].y < y_lo) ++e;
+        // Gather-first: the skip rules (self, mirrored owned–owned
+        // pair) run before anything is counted or compared, then the
+        // surviving band positions stream through the batched kernel in
+        // one go.
+        while (e < end && sgy[e] < y_lo) ++e;
         lo[c] = e;  // source y only grows within the column
-        for (; e < end && grid[e].y <= y_hi; ++e) {
-          const uint32_t k = grid[e].local;
+        size_t m = 0;
+        for (; e < end && sgy[e] <= y_hi; ++e) {
+          const uint32_t k = sglocal[e];
           if (k == k_src) continue;  // self
           const uint32_t partner_row = row_of_local[k];
           if (partner_row != kNoRow && k < k_src) continue;  // mirrored
-          ++result.distance_ops;
-          const uint32_t j = local[k];
-          // tcomp-lint: allow(soa-raw-loop): sanctioned scalar fallback —
-          // the SoA gather branch above is differentially tested against
-          // this walk with the kill switch off.
-          if (WithinEps(p, snapshot.pos(j), eps2)) {
-            edges.push_back((static_cast<uint64_t>(row) << 32) | j);
-            if (partner_row != kNoRow) {
-              edges.push_back((static_cast<uint64_t>(partner_row) << 32) | g);
-            }
+          cand[m++] = e;
+        }
+        result.distance_ops += static_cast<int64_t>(m);
+        const size_t kept = EpsFilterGather(sgx.data(), sgy.data(),
+                                            cand.data(), m, p.x, p.y,
+                                            eps2, surv.data());
+        for (size_t s = 0; s < kept; ++s) {
+          const uint32_t k = sglocal[surv[s]];
+          edges.push_back((static_cast<uint64_t>(row) << 32) | local[k]);
+          const uint32_t partner_row = row_of_local[k];
+          if (partner_row != kNoRow) {
+            edges.push_back((static_cast<uint64_t>(partner_row) << 32) | g);
           }
         }
       }

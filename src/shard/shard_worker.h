@@ -57,10 +57,10 @@ class ShardBarrier {
   int remaining_;  // guarded by mu_
 };
 
-/// N dedicated shard workers, each with its own FIFO task queue — unlike
-/// the work-stealing-free shared pool in util/thread_pool.h, tasks here
-/// are routed to a *specific* worker, so per-shard queue depth is a
-/// meaningful backlog signal (exported as gauges by the engine). Workers
+/// N dedicated shard workers, each with its own FIFO task queue — the
+/// process's only parallel mechanism for snapshot work. Tasks are routed
+/// to a *specific* worker, so per-shard queue depth is a meaningful
+/// backlog signal (exported as gauges by the engine). Workers
 /// live for the pool's lifetime; queues drain fully before the
 /// destructor joins.
 ///

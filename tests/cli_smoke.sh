@@ -48,7 +48,7 @@ wait_for_port_file() {
 grep -q "wrote" gen.log
 
 "$CLI" discover --csv d2.csv --algo bu --epsilon 24 --mu 5 \
-    --min-size 10 --min-duration 10 --window-seconds 60 --threads 2 \
+    --min-size 10 --min-duration 10 --window-seconds 60 \
     --truth d2.truth --timeline --quiet --save-state d2.ckpt \
     --out-json d2.json --out-csv d2_out.csv \
     --stats-json d2_stats.json > run1.log
@@ -85,6 +85,14 @@ for cmd in "generate --dataset d2 --out x.csv" \
     # shellcheck disable=SC2086  # $cmd is a command line, split on purpose
     if "$CLI" $cmd --no-such-flag > /dev/null 2> flag.err; then exit 1; fi
     grep -q -- "unknown flag --no-such-flag" flag.err
+done
+# --threads is gone: discovery is serial and the shard pool (--shards) is
+# the only parallel mechanism. The bogus --algo makes a binary that still
+# took --threads exit with a different error instead of serving forever.
+for cmd in "discover --csv d2.csv" "serve --algo none"; do
+    # shellcheck disable=SC2086  # $cmd is a command line, split on purpose
+    if "$CLI" $cmd --threads 2 > /dev/null 2> flag.err; then exit 1; fi
+    grep -q -- "unknown flag --threads" flag.err
 done
 
 # Service round trip: serve → feed → query → SIGTERM → resume → compare.

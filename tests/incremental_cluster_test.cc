@@ -3,8 +3,7 @@
 /// per-snapshot DBSCAN on every stream we can throw at it — smooth
 /// motion, dropout/reappearance, whole-cluster teleports, stale
 /// (out-of-order) position reverts, kill-switch toggles mid-stream, and
-/// mid-stream checkpoint kill+resume — across thread counts and kernel
-/// modes. Also pins the shared eps-boundary convention (satellite: flat,
+/// mid-stream checkpoint kill+resume — across kernel modes. Also pins the shared eps-boundary convention (satellite: flat,
 /// grid, and incremental backends must agree on pairs at exactly ε,
 /// including pairs straddling grid cell borders at large coordinates).
 #include <gtest/gtest.h>
@@ -338,7 +337,7 @@ TEST(EpsBoundaryTest, ExactEpsPairsUnderStreamMotion) {
 
 // ---------------------------------------------------------------------------
 // Discoverer-level: incremental mode vs full re-clustering, across kernel
-// modes and thread counts, products must be identical.
+// modes, products must be identical.
 
 /// Serialized state reduced to *products*: the clusterer's carried-state
 /// section is dropped (it legitimately differs between modes) and the
@@ -402,13 +401,12 @@ std::string RunDiscovererProducts(Algorithm algorithm,
 }
 
 class IncrementalDifferentialTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, bool, int>> {};
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
 TEST_P(IncrementalDifferentialTest, DiscovererProductsIdenticalToFull) {
-  const auto [seed, kernels, threads] = GetParam();
+  const auto [seed, kernels] = GetParam();
   KernelGuard kernel_mode(kernels);
   DiscoveryParams params = BaseParams();
-  params.cluster.threads = threads;
   // Both stream regimes: churny exercises the fallback path, coherent the
   // carried-state path.
   const SnapshotStream streams[] = {ChurnyStream(seed).stream,
@@ -422,8 +420,7 @@ TEST_P(IncrementalDifferentialTest, DiscovererProductsIdenticalToFull) {
       std::string full =
           RunDiscovererProducts(algorithm, stream, params, false);
       EXPECT_EQ(incremental, full)
-          << AlgorithmName(algorithm) << " kernels=" << kernels
-          << " threads=" << threads;
+          << AlgorithmName(algorithm) << " kernels=" << kernels;
     }
   }
 }
@@ -431,8 +428,7 @@ TEST_P(IncrementalDifferentialTest, DiscovererProductsIdenticalToFull) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, IncrementalDifferentialTest,
     ::testing::Combine(::testing::Values(711, 712),
-                       ::testing::Bool(),          // bitset kernels
-                       ::testing::Values(1, 4)));  // clustering threads
+                       ::testing::Bool()));  // bitset kernels
 
 TEST(IncrementalDifferentialTest, ConvoyBaselineIdenticalToFull) {
   GroupDataset data = CoherentStream(713);

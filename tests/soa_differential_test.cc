@@ -1,21 +1,22 @@
 /// Differential proof that the SoA snapshot layout and the batched
-/// ε-filter kernels (util/eps_filter.h, ROADMAP item 4) are a pure
-/// optimization: with SetSoAKernelsEnabled() toggled on vs. off, the
-/// kernels accept exactly the lanes the scalar WithinEps walk accepts
-/// (exact-ε boundary coordinates included), DbscanGrid produces the
-/// identical Clustering with the identical distance_ops count, and CI,
-/// SC, BU, and the convoy baseline produce byte-identical serialized
-/// state. Only wall-clock timings may differ, so those fields of the
-/// "stats" line are zeroed before comparison. Also pins the incremental
-/// clusterer's steady-state no-heap-growth invariant: the per-snapshot
-/// scratch arena stops growing once the workload's high-water mark has
-/// been seen.
+/// ε-filter kernels (util/eps_filter.h) are exact: the kernels accept
+/// exactly the lanes the scalar WithinEps walk accepts (exact-ε boundary
+/// coordinates included); DbscanGrid produces the Clustering of the
+/// O(n²) Dbscan oracle, with distance_ops equal to an independent
+/// brute-force count of ordered pairs in 3×3-adjacent grid cells; and
+/// CI, SC, BU, and the convoy baseline on their default (SoA) clustering
+/// paths report the companions a Dbscan-clustered run reports. Also pins
+/// the incremental clusterer's steady-state no-heap-growth invariant:
+/// the per-snapshot scratch arena stops growing once the workload's
+/// high-water mark has been seen.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
-#include <sstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -33,19 +34,6 @@ namespace tcomp {
 namespace {
 
 using testing_util::ClusteredSnapshot;
-
-/// Restores the process-wide SoA toggle no matter how a test exits, so a
-/// failing assertion can't leak "SoA off" into later tests.
-class SoAToggleGuard {
- public:
-  SoAToggleGuard() : saved_(SoAKernelsEnabled()) {}
-  ~SoAToggleGuard() { SetSoAKernelsEnabled(saved_); }
-  SoAToggleGuard(const SoAToggleGuard&) = delete;
-  SoAToggleGuard& operator=(const SoAToggleGuard&) = delete;
-
- private:
-  bool saved_;
-};
 
 // ---------------------------------------------------------------------
 // Kernel-level differentials: EpsFilterBatch / EpsFilterGather against
@@ -221,10 +209,11 @@ TEST(EpsFilterKernelTest, ExactBoundaryCoordinatesMatchScalarWalk) {
 }
 
 // ---------------------------------------------------------------------
-// DbscanGrid: the SoA forward plane-sweep must reproduce the scalar
-// hash-grid branch exactly — labels, core flags, cluster sets, and the
-// logical distance_ops counter (the sweep evaluates each unordered pair
-// once and counts it twice; see src/core/dbscan.cc).
+// DbscanGrid: the SoA forward plane-sweep must reproduce the O(n²)
+// Dbscan oracle exactly — labels, core flags, cluster sets — and record
+// the grid cost model: every ordered pair of distinct points whose
+// GridCellWidth cells are 3×3-adjacent (the sweep evaluates each
+// unordered pair once and counts it twice; see src/core/dbscan.cc).
 
 void ExpectSameClustering(const Clustering& a, const Clustering& b,
                           const char* what) {
@@ -236,8 +225,35 @@ void ExpectSameClustering(const Clustering& a, const Clustering& b,
   }
 }
 
-TEST(DbscanGridSoATest, MatchesScalarGridAcrossSnapshotShapes) {
-  SoAToggleGuard guard;
+/// Brute-force count of ordered pairs (i, j), i != j, whose grid cells
+/// differ by at most one along both axes — independent of the sweep's
+/// cell sort, span table and symmetric pair-once discipline.
+int64_t AdjacentCellPairs(const Snapshot& snapshot, double eps) {
+  const size_t n = snapshot.size();
+  double max_abs = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    max_abs = std::max({max_abs, std::fabs(snapshot.pos(i).x),
+                        std::fabs(snapshot.pos(i).y)});
+  }
+  const double cell = GridCellWidth(eps, max_abs);
+  std::vector<int64_t> cx(n), cy(n);
+  for (size_t i = 0; i < n; ++i) {
+    cx[i] = static_cast<int64_t>(std::floor(snapshot.pos(i).x / cell));
+    cy[i] = static_cast<int64_t>(std::floor(snapshot.pos(i).y / cell));
+  }
+  int64_t pairs = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      if (i != j && std::llabs(cx[i] - cx[j]) <= 1 &&
+          std::llabs(cy[i] - cy[j]) <= 1) {
+        ++pairs;
+      }
+    }
+  }
+  return pairs;
+}
+
+TEST(DbscanGridSoATest, MatchesReferenceAcrossSnapshotShapes) {
   Pcg32 rng(903);
   DbscanParams params;
   params.epsilon = 18.0;
@@ -262,22 +278,29 @@ TEST(DbscanGridSoATest, MatchesScalarGridAcrossSnapshotShapes) {
     }
     cases.emplace_back("collocated", Snapshot(std::move(pos), 1.0));
   }
+  {
+    // Exact-ε pairs straddling cell borders at large magnitude, where
+    // the padded cell width decides which pairs share a 3×3 block.
+    std::vector<ObjectPosition> pos;
+    for (ObjectId i = 0; i < 40; ++i) {
+      const double base = 1e9 + 18.0 * static_cast<double>(i / 2);
+      pos.push_back(ObjectPosition{i, Point{base, i % 2 == 0 ? 0.0 : 18.0}});
+    }
+    cases.emplace_back("exact_eps_far", Snapshot(std::move(pos), 1.0));
+  }
 
   for (const auto& [name, snapshot] : cases) {
-    SetSoAKernelsEnabled(true);
-    int64_t ops_on = 0;
-    Clustering on = DbscanGrid(snapshot, params, &ops_on);
-    SetSoAKernelsEnabled(false);
-    int64_t ops_off = 0;
-    Clustering off = DbscanGrid(snapshot, params, &ops_off);
-    ExpectSameClustering(on, off, name.c_str());
-    EXPECT_EQ(ops_on, ops_off) << name;
+    int64_t grid_ops = 0;
+    Clustering grid = DbscanGrid(snapshot, params, &grid_ops);
+    Clustering reference = Dbscan(snapshot, params);
+    ExpectSameClustering(grid, reference, name.c_str());
+    EXPECT_EQ(grid_ops, AdjacentCellPairs(snapshot, params.epsilon)) << name;
   }
 }
 
 // ---------------------------------------------------------------------
-// End-to-end differentials: full discoverer runs, byte-identical
-// serialized state across SoA modes.
+// End-to-end differentials: full discoverer runs on their default (SoA)
+// clustering paths against runs clustered by the O(n²) Dbscan oracle.
 
 GroupDataset ChurnyStream(uint64_t seed) {
   GroupModelOptions options;
@@ -301,106 +324,98 @@ DiscoveryParams BaseParams() {
   return params;
 }
 
-/// Serialized discoverer state with the wall-clock fields (the last three
-/// tokens of the "stats" line) zeroed; everything else must match bit for
-/// bit between SoA modes.
-std::string NormalizedState(const CompanionDiscoverer& d) {
-  std::ostringstream raw;
-  Status st = d.SaveState(raw);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  std::istringstream in(raw.str());
-  std::ostringstream out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("stats ", 0) == 0) {
-      std::istringstream fields(line);
-      std::vector<std::string> tokens;
-      std::string tok;
-      while (fields >> tok) tokens.push_back(tok);
-      EXPECT_GE(tokens.size(), 4u);
-      for (size_t i = tokens.size() - 3; i < tokens.size(); ++i) {
-        tokens[i].assign(1, '0');
-      }
-      for (size_t i = 0; i < tokens.size(); ++i) {
-        if (i > 0) out << ' ';
-        out << tokens[i];
-      }
-      out << '\n';
-    } else {
-      out << line << '\n';
-    }
-  }
-  return out.str();
-}
-
-std::unique_ptr<CompanionDiscoverer> MakeGridBacked(
-    Algorithm algorithm, const DiscoveryParams& params) {
+std::unique_ptr<CompanionDiscoverer> RunDiscoverer(
+    Algorithm algorithm, const SnapshotStream& stream,
+    const DiscoveryParams& params, const ClusterProvider& provider) {
   std::unique_ptr<CompanionDiscoverer> d = MakeDiscoverer(algorithm, params);
-  d->SetClusterProvider(
-      [params](const Snapshot& s, int64_t* distance_ops) {
-        return DbscanGrid(s, params.cluster, distance_ops);
-      });
+  if (provider) d->SetClusterProvider(provider);
+  for (const Snapshot& s : stream) d->ProcessSnapshot(s, nullptr);
   return d;
 }
 
-struct RunResult {
-  std::string state;
-  int64_t distance_ops = 0;
-  size_t log_size = 0;
-};
+ClusterProvider ReferenceProvider(const DbscanParams& params) {
+  return [params](const Snapshot& s, int64_t* distance_ops) {
+    return Dbscan(s, params, distance_ops);
+  };
+}
 
-RunResult RunDiscoverer(Algorithm algorithm, const SnapshotStream& stream,
-                        const DiscoveryParams& params, bool soa,
-                        bool grid_provider) {
-  SetSoAKernelsEnabled(soa);
-  std::unique_ptr<CompanionDiscoverer> d =
-      grid_provider ? MakeGridBacked(algorithm, params)
-                    : MakeDiscoverer(algorithm, params);
-  for (const Snapshot& s : stream) d->ProcessSnapshot(s, nullptr);
-  RunResult r;
-  r.state = NormalizedState(*d);
-  r.distance_ops = d->stats().distance_ops;
-  r.log_size = d->log().companions().size();
-  return r;
+/// The companion log entry for entry (objects, duration, first
+/// qualification index) plus the I-step work: identical clusterings
+/// must give identical logs and intersection counts.
+void ExpectSameProducts(const CompanionDiscoverer& got,
+                        const CompanionDiscoverer& want, const char* what) {
+  const std::vector<Companion>& a = got.log().companions();
+  const std::vector<Companion>& b = want.log().companions();
+  EXPECT_FALSE(b.empty()) << what << ": test wants companions";
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].objects, b[i].objects) << what << " companion " << i;
+    EXPECT_EQ(a[i].duration, b[i].duration) << what << " companion " << i;
+    EXPECT_EQ(a[i].snapshot_index, b[i].snapshot_index)
+        << what << " companion " << i;
+  }
+  EXPECT_EQ(got.stats().intersections, want.stats().intersections) << what;
+}
+
+std::set<ObjectSet> ReportedSets(const CompanionDiscoverer& d) {
+  std::set<ObjectSet> out;
+  for (const Companion& c : d.log().companions()) out.insert(c.objects);
+  return out;
 }
 
 class SoADifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(SoADifferentialTest, DiscoverersByteIdenticalAcrossSoAModes) {
-  SoAToggleGuard guard;
+TEST_P(SoADifferentialTest, DiscoverersMatchReferenceDbscan) {
   GroupDataset data = ChurnyStream(GetParam());
   DiscoveryParams params = BaseParams();
+  const ClusterProvider reference = ReferenceProvider(params.cluster);
 
+  // CI and SC cluster through the incremental clusterer, whose exact pass
+  // is FinishExact's SoA gather.
   for (Algorithm algorithm :
-       {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed,
-        Algorithm::kBuddy}) {
-    RunResult on = RunDiscoverer(algorithm, data.stream, params, true, false);
-    RunResult off =
-        RunDiscoverer(algorithm, data.stream, params, false, false);
-    EXPECT_GT(on.log_size, 0u) << "test wants companions";
-    EXPECT_EQ(on.state, off.state) << AlgorithmName(algorithm);
-    EXPECT_EQ(on.distance_ops, off.distance_ops) << AlgorithmName(algorithm);
+       {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed}) {
+    std::unique_ptr<CompanionDiscoverer> stock =
+        RunDiscoverer(algorithm, data.stream, params, nullptr);
+    std::unique_ptr<CompanionDiscoverer> oracle =
+        RunDiscoverer(algorithm, data.stream, params, reference);
+    ExpectSameProducts(*stock, *oracle, AlgorithmName(algorithm));
   }
+  // BU has no cluster provider; its companions must equal those of SC
+  // clustered by the oracle (the paper's SC ≡ BU equivalence).
+  std::unique_ptr<CompanionDiscoverer> bu =
+      RunDiscoverer(Algorithm::kBuddy, data.stream, params, nullptr);
+  std::unique_ptr<CompanionDiscoverer> sc_oracle =
+      RunDiscoverer(Algorithm::kSmartClosed, data.stream, params, reference);
+  EXPECT_FALSE(ReportedSets(*bu).empty()) << "test wants companions";
+  EXPECT_EQ(ReportedSets(*bu), ReportedSets(*sc_oracle));
 }
 
-TEST_P(SoADifferentialTest, GridProviderByteIdenticalAcrossSoAModes) {
-  SoAToggleGuard guard;
+TEST_P(SoADifferentialTest, GridProviderMatchesReferenceDbscan) {
   GroupDataset data = ChurnyStream(GetParam());
   DiscoveryParams params = BaseParams();
 
   // DbscanGrid injected as the cluster provider: this is the forward
-  // plane-sweep inside a full pipeline, counter accounting included.
-  RunResult on = RunDiscoverer(Algorithm::kSmartClosed, data.stream, params,
-                               true, true);
-  RunResult off = RunDiscoverer(Algorithm::kSmartClosed, data.stream, params,
-                                false, true);
-  EXPECT_GT(on.log_size, 0u) << "test wants companions";
-  EXPECT_EQ(on.state, off.state);
-  EXPECT_EQ(on.distance_ops, off.distance_ops);
+  // plane-sweep inside a full pipeline, counter accounting included. SC
+  // spends distance ops in the C-step only, so its total is the sum of
+  // the grid cost model over the stream.
+  const DbscanParams cluster = params.cluster;
+  std::unique_ptr<CompanionDiscoverer> grid =
+      RunDiscoverer(Algorithm::kSmartClosed, data.stream, params,
+          [cluster](const Snapshot& s, int64_t* distance_ops) {
+            return DbscanGrid(s, cluster, distance_ops);
+          });
+  std::unique_ptr<CompanionDiscoverer> oracle =
+      RunDiscoverer(Algorithm::kSmartClosed, data.stream, params,
+          ReferenceProvider(cluster));
+  ExpectSameProducts(*grid, *oracle, "SC over DbscanGrid");
+  int64_t expected_ops = 0;
+  for (const Snapshot& s : data.stream) {
+    expected_ops += AdjacentCellPairs(s, cluster.epsilon);
+  }
+  EXPECT_EQ(grid->stats().distance_ops, expected_ops);
 }
 
-TEST_P(SoADifferentialTest, ConvoyBaselineIdenticalAcrossSoAModes) {
-  SoAToggleGuard guard;
+TEST_P(SoADifferentialTest, ConvoyBaselineMatchesReferenceDbscan) {
   GroupDataset data = ChurnyStream(GetParam());
   ConvoyParams params;
   params.cluster.epsilon = 18.0;
@@ -408,87 +423,26 @@ TEST_P(SoADifferentialTest, ConvoyBaselineIdenticalAcrossSoAModes) {
   params.min_objects = 5;
   params.min_lifetime = 7;
 
-  SetSoAKernelsEnabled(true);
-  ConvoyStats stats_on;
-  std::vector<Convoy> on = DiscoverConvoys(data.stream, params, &stats_on);
-  SetSoAKernelsEnabled(false);
-  ConvoyStats stats_off;
-  std::vector<Convoy> off = DiscoverConvoys(data.stream, params, &stats_off);
+  ConvoyStats stock_stats;
+  std::vector<Convoy> stock = DiscoverConvoys(data.stream, params, &stock_stats);
+  ConvoyParams oracle_params = params;
+  oracle_params.cluster_provider = ReferenceProvider(params.cluster);
+  ConvoyStats oracle_stats;
+  std::vector<Convoy> oracle =
+      DiscoverConvoys(data.stream, oracle_params, &oracle_stats);
 
-  EXPECT_FALSE(on.empty()) << "test wants convoys";
-  ASSERT_EQ(on.size(), off.size());
-  for (size_t i = 0; i < on.size(); ++i) {
-    EXPECT_EQ(on[i].objects, off[i].objects) << "convoy " << i;
-    EXPECT_EQ(on[i].begin, off[i].begin) << "convoy " << i;
-    EXPECT_EQ(on[i].end, off[i].end) << "convoy " << i;
+  EXPECT_FALSE(oracle.empty()) << "test wants convoys";
+  ASSERT_EQ(stock.size(), oracle.size());
+  for (size_t i = 0; i < stock.size(); ++i) {
+    EXPECT_EQ(stock[i].objects, oracle[i].objects) << "convoy " << i;
+    EXPECT_EQ(stock[i].begin, oracle[i].begin) << "convoy " << i;
+    EXPECT_EQ(stock[i].end, oracle[i].end) << "convoy " << i;
   }
-  EXPECT_EQ(stats_on.distance_ops, stats_off.distance_ops);
-  EXPECT_EQ(stats_on.intersections, stats_off.intersections);
+  EXPECT_EQ(stock_stats.intersections, oracle_stats.intersections);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SoADifferentialTest,
                          ::testing::Values(901, 902, 903));
-
-/// Flipping the kill switch between snapshots must be invisible: SoA mode
-/// is per-snapshot derived computation, never carried state, so a run
-/// that toggles off and back on mid-stream matches the all-on run.
-TEST(SoAMidStreamToggleTest, ToggleTimelineDoesNotPerturbState) {
-  SoAToggleGuard guard;
-  GroupDataset data = ChurnyStream(904);
-  DiscoveryParams params = BaseParams();
-  const size_t third = data.stream.size() / 3;
-
-  SetSoAKernelsEnabled(true);
-  std::unique_ptr<CompanionDiscoverer> steady =
-      MakeGridBacked(Algorithm::kSmartClosed, params);
-  for (const Snapshot& s : data.stream) steady->ProcessSnapshot(s, nullptr);
-
-  std::unique_ptr<CompanionDiscoverer> toggled =
-      MakeGridBacked(Algorithm::kSmartClosed, params);
-  for (size_t t = 0; t < data.stream.size(); ++t) {
-    SetSoAKernelsEnabled(t < third || t >= 2 * third);
-    toggled->ProcessSnapshot(data.stream[t], nullptr);
-  }
-
-  EXPECT_EQ(NormalizedState(*steady), NormalizedState(*toggled));
-}
-
-/// Checkpoints written under one SoA mode must load and continue
-/// identically under the other: the SoA view and its arena are derived
-/// per-snapshot state, never serialized.
-TEST(SoACheckpointTest, StateRoundTripsAcrossSoAModes) {
-  SoAToggleGuard guard;
-  GroupDataset data = ChurnyStream(905);
-  DiscoveryParams params = BaseParams();
-
-  for (Algorithm algorithm :
-       {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed,
-        Algorithm::kBuddy}) {
-    SetSoAKernelsEnabled(true);
-    std::unique_ptr<CompanionDiscoverer> first =
-        MakeDiscoverer(algorithm, params);
-    const size_t half = data.stream.size() / 2;
-    for (size_t t = 0; t < half; ++t) {
-      first->ProcessSnapshot(data.stream[t], nullptr);
-    }
-    std::stringstream checkpoint;
-    ASSERT_TRUE(first->SaveState(checkpoint).ok());
-    for (size_t t = half; t < data.stream.size(); ++t) {
-      first->ProcessSnapshot(data.stream[t], nullptr);
-    }
-
-    SetSoAKernelsEnabled(false);
-    std::unique_ptr<CompanionDiscoverer> resumed =
-        MakeDiscoverer(algorithm, params);
-    ASSERT_TRUE(resumed->LoadState(checkpoint).ok());
-    for (size_t t = half; t < data.stream.size(); ++t) {
-      resumed->ProcessSnapshot(data.stream[t], nullptr);
-    }
-
-    EXPECT_EQ(NormalizedState(*first), NormalizedState(*resumed))
-        << AlgorithmName(algorithm);
-  }
-}
 
 // ---------------------------------------------------------------------
 // Arena steady state: once the incremental clusterer has seen the

@@ -222,7 +222,8 @@ def history(repo_root):
     Each column is the headline number of the PR that introduced it:
     intersect/istep (PR 4 bitset kernels), incr-cluster (PR 6 carried
     state), shard-best (PR 7 sharded C-step), soa-cluster (PR 9 SoA
-    ε-filter). Older records simply lack the newer sections — those
+    ε-filter; only PR 9 recorded its on/off e2e). Older records simply
+    lack the newer sections — those
     cells print '-', which is the point of the table: you can see when
     each axis of the trajectory came online.
     """
@@ -346,17 +347,16 @@ def main():
                 "companions differ from the single-shard baseline — the "
                 "decomposition is not product-preserving; refusing to record")
 
-    soa = result.get("soa", {})
-    if soa:
-        if not soa["micro"]["checksums_match"]:
-            raise SystemExit("SoA eps-filter micro checksums disagree with "
-                             "the scalar walk — refusing to record")
-        for entry in soa.get("e2e", []):
-            if not entry["identical_products"]:
-                raise SystemExit(
-                    f"soa {entry['scenario']} ({entry['algorithm']}): "
-                    "products or distance_ops differ across SoA modes — "
-                    "refusing to record")
+    # The soa section is the ε-filter kernel micro layer only; consumers
+    # of the kernels are pinned against the O(n²) Dbscan by the test
+    # suite, not by this harness.
+    soa = result.get("soa", {}).get("micro")
+    if soa is None:
+        raise SystemExit("harness emitted no soa micro section; refusing "
+                         "to record")
+    if not soa["checksums_match"]:
+        raise SystemExit("SoA eps-filter micro checksums disagree with "
+                         "the scalar walk — refusing to record")
 
     stage_metrics = result.get("stage_metrics", {})
     histograms = stage_metrics.get("histograms", {})
@@ -400,13 +400,8 @@ def main():
               f"total {entry['speedup_vs_1']:.2f}x, "
               f"cluster {entry['cluster_speedup_vs_1']:.2f}x, "
               f"halo {entry['halo_objects']}")
-    if soa:
-        print(f"  soa micro: batch {soa['micro']['batch_speedup']:.2f}x, "
-              f"gather {soa['micro']['gather_speedup']:.2f}x")
-        for entry in soa.get("e2e", []):
-            print(f"  soa {entry['scenario']} ({entry['algorithm']}): "
-                  f"cluster {entry['cluster_speedup']:.2f}x, "
-                  f"total {entry['total_speedup']:.2f}x")
+    print(f"  soa micro: batch {soa['batch_speedup']:.2f}x, "
+          f"gather {soa['gather_speedup']:.2f}x")
     return 0
 
 

@@ -59,8 +59,6 @@ int Usage() {
       "      --out records.csv [--truth truth.txt] [--seconds-per-snapshot S]\n"
       "  tcomp discover --csv records.csv [--algo ci|sc|bu]\n"
       "      --epsilon E --mu M --min-size S --min-duration T\n"
-      "      [--threads N]  (parallel snapshot clustering; results are\n"
-      "                      identical at every N, 1 = serial, default 1)\n"
       "      [--window-seconds W | --window-objects N]\n"
       "      [--inactive K] [--truth truth.txt] [--timeline]\n"
       "      [--out-json FILE] [--out-csv FILE]\n"
@@ -70,7 +68,7 @@ int Usage() {
       "      [--save-state FILE] [--load-state FILE] [--quiet]\n"
       "  tcomp suggest --csv records.csv [--k K] [--window-seconds W]\n"
       "  tcomp serve [--port P] [--port-file FILE] [--algo ci|sc|bu]\n"
-      "      --epsilon E --mu M --min-size S --min-duration T [--threads N]\n"
+      "      --epsilon E --mu M --min-size S --min-duration T\n"
       "      [--shards N]  (sharded snapshot clustering; products are\n"
       "                     byte-identical at every N, 1 = single worker,\n"
       "                     default 1; BU falls back to 1 with a warning)\n"
@@ -92,7 +90,7 @@ int Usage() {
       "      [--protocol text|binary|both] [--batch N] [--objects N]\n"
       "      [--snapshots N] [--seed N] [--no-verify] [--json FILE]\n"
       "      [--algo ci|sc|bu] [--epsilon E] [--mu M] [--min-size S]\n"
-      "      [--min-duration T] [--threads N] [--queue-capacity C]\n"
+      "      [--min-duration T] [--queue-capacity C]\n"
       "      [--window-seconds W | --window-objects N] [--inactive K]\n"
       "      (self-hosted saturation benchmark: N paced clients per\n"
       "       offered-load point; reports records/sec, ack latency\n"
@@ -253,8 +251,8 @@ int Discover(const FlagParser& flags) {
   if (!RejectUnknownFlags(
           "discover", flags,
           {"csv", "algo", "epsilon", "mu", "min-size", "min-duration",
-           "threads", "window-seconds", "window-objects", "inactive",
-           "truth", "timeline", "out-json", "out-csv", "stats-json",
+           "window-seconds", "window-objects", "inactive", "truth",
+           "timeline", "out-json", "out-csv", "stats-json",
            "slow-snapshot-ms", "save-state", "load-state", "quiet"})) {
     return Usage();
   }
@@ -271,22 +269,15 @@ int Discover(const FlagParser& flags) {
   }
 
   DiscoveryParams params;
-  int threads = 1;
   if (!ReadFlag("discover", flags, "epsilon", 20.0,
                 &params.cluster.epsilon) ||
       !ReadFlag("discover", flags, "mu", 4, &params.cluster.mu) ||
       !ReadFlag("discover", flags, "min-size", 10,
                 &params.size_threshold) ||
       !ReadFlag("discover", flags, "min-duration", 10.0,
-                &params.duration_threshold) ||
-      !ReadFlag("discover", flags, "threads", 1, &threads)) {
+                &params.duration_threshold)) {
     return Usage();
   }
-  if (threads < 1) {
-    std::fprintf(stderr, "discover: --threads must be >= 1\n");
-    return Usage();
-  }
-  params.cluster.threads = threads;
 
   std::string algo_name = flags.GetString("algo", "bu");
   Algorithm algorithm;
@@ -545,22 +536,15 @@ int Suggest(const FlagParser& flags) {
 /// Discover does, so the daemon and batch paths agree flag for flag.
 bool ParseDiscoveryOptions(const char* command, const FlagParser& flags,
                            ServicePipelineOptions* opts) {
-  int threads = 1;
   if (!ReadFlag(command, flags, "epsilon", 20.0,
                 &opts->params.cluster.epsilon) ||
       !ReadFlag(command, flags, "mu", 4, &opts->params.cluster.mu) ||
       !ReadFlag(command, flags, "min-size", 10,
                 &opts->params.size_threshold) ||
       !ReadFlag(command, flags, "min-duration", 10.0,
-                &opts->params.duration_threshold) ||
-      !ReadFlag(command, flags, "threads", 1, &threads)) {
+                &opts->params.duration_threshold)) {
     return false;
   }
-  if (threads < 1) {
-    std::fprintf(stderr, "%s: --threads must be >= 1\n", command);
-    return false;
-  }
-  opts->params.cluster.threads = threads;
 
   std::string algo_name = flags.GetString("algo", "bu");
   if (algo_name == "ci") {
@@ -596,7 +580,7 @@ int Serve(const FlagParser& flags) {
   if (!RejectUnknownFlags(
           "serve", flags,
           {"port", "port-file", "algo", "epsilon", "mu", "min-size",
-           "min-duration", "threads", "shards", "window-seconds",
+           "min-duration", "shards", "window-seconds",
            "window-objects", "inactive", "queue-capacity", "backpressure",
            "lateness", "checkpoint", "checkpoint-every", "read-timeout-ms",
            "write-timeout-ms", "write-window-bytes", "max-connections",
@@ -1109,7 +1093,7 @@ int Blast(const FlagParser& flags) {
           "blast", flags,
           {"clients", "curve", "seconds", "protocol", "batch", "objects",
            "snapshots", "seed", "no-verify", "json", "algo", "epsilon",
-           "mu", "min-size", "min-duration", "threads", "queue-capacity",
+           "mu", "min-size", "min-duration", "queue-capacity",
            "window-seconds", "window-objects", "inactive"})) {
     return Usage();
   }
